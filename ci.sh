@@ -279,6 +279,15 @@ subsystems = [e for e in entries if e["depth"] == 1]
 if not subsystems:
     sys.exit("BENCH_profile.json attributes no step time to subsystems")
 top = max(subsystems, key=lambda e: e["wall_ms"])
+# Proof-at-height snapshots are (root, version) pairs over the versioned
+# trie store: taking one must stay a rounding error, not a trie clone.
+snapshot = next((e for e in entries if e["path"] == "step;cp.block;cp.snapshot"), None)
+if snapshot is None:
+    sys.exit("BENCH_profile.json does not profile the cp.snapshot phase")
+snapshot_pct = 100 * snapshot["wall_ms"] / step["wall_ms"]
+if snapshot_pct > 2:
+    sys.exit(f"profile: step;cp.block;cp.snapshot takes {snapshot_pct:.1f}% of step "
+             "wall time — the 2% budget is blown (is the trie being cloned again?)")
 
 with open("BENCH_profile_summary.json") as f:
     bench = json.load(f)
@@ -294,7 +303,8 @@ if values.get("no_perturbation") != 1:
              "the profiler is not a pure observer")
 print(f"profile OK: {attributed:.1f}% of step time attributed; top subsystem "
       f"{top['name']} ({top['wall_ms']:.0f} ms wall); telemetry self-cost "
-      f"{values['telemetry_self_pct']:.2f}% of step time")
+      f"{values['telemetry_self_pct']:.2f}% of step time; cp.snapshot "
+      f"{snapshot_pct:.2f}% of step time")
 PY
 
 echo "==> telemetry overhead (sampled pipeline budget gate)"

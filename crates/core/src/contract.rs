@@ -1,7 +1,7 @@
 //! The Guest Contract (Alg. 1): block production, finalisation, packets.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
@@ -204,18 +204,14 @@ pub struct GuestContract {
     reward_balances: HashMap<PublicKey, u64>,
     /// The protocol's share of fees (everything not paid out as rewards).
     treasury: u64,
-    /// Bounded history of `(height, trie)` snapshots taken at block
-    /// generation — the proof-at-height service a full node offers
-    /// relayers. Without it, sustained traffic mutates the live trie
-    /// between block generation and relay, proofs against the finalised
-    /// root stop verifying, and the relayer's backlog grows without
-    /// bound.
-    proof_snapshots: VecDeque<(u64, Trie)>,
 }
 
-/// How many block-generation snapshots [`GuestContract::prove_at`] keeps.
-/// Relayers prove against the latest finalised block, so a handful of
-/// heights of slack is plenty.
+/// How many generated blocks [`GuestContract::prove_at`] can prove at —
+/// the proof-at-height service a full node offers relayers. Without it,
+/// sustained traffic mutates the live trie between block generation and
+/// relay, proofs against the finalised root stop verifying, and the
+/// relayer's backlog grows without bound. Relayers prove against the
+/// latest finalised block, so a handful of heights of slack is plenty.
 const PROOF_SNAPSHOT_HISTORY: usize = 8;
 
 impl GuestContract {
@@ -236,11 +232,11 @@ impl GuestContract {
                 .expect("genesis stakes meet the minimum");
         }
         let epoch = staking.select_validators(config.max_validators, config.min_stake);
-        let mut ibc = IbcHandler::new(Trie::new());
+        let mut ibc = IbcHandler::new(Trie::with_proof_history(PROOF_SNAPSHOT_HISTORY));
         let blocks = Rc::new(RefCell::new(Vec::new()));
         ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
         let genesis = GuestBlock::genesis(&epoch, ibc.root(), now_ms, host_height);
-        let genesis_snapshot = (genesis.height, ibc.store().clone());
+        ibc.store_mut().commit(genesis.height);
         blocks.borrow_mut().push(genesis);
         Self {
             config,
@@ -258,7 +254,6 @@ impl GuestContract {
             undistributed_fees: 0,
             reward_balances: HashMap::new(),
             treasury: 0,
-            proof_snapshots: VecDeque::from([genesis_snapshot]),
         }
     }
 
@@ -313,13 +308,11 @@ impl GuestContract {
     }
 
     /// Merkle proof of `key` as of block `height` — the proof-at-height
-    /// query a full node answers for relayers. `None` when the height's
-    /// snapshot has been evicted (older than the last
-    /// [`PROOF_SNAPSHOT_HISTORY`] generated blocks) or the key cannot be
-    /// proven at that height.
+    /// query a full node answers for relayers. `None` when the height has
+    /// left the window (older than the last [`PROOF_SNAPSHOT_HISTORY`]
+    /// generated blocks) or the key cannot be proven at that height.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
-        let (_, trie) = self.proof_snapshots.iter().rev().find(|(h, _)| *h == height)?;
-        trie.prove(key).ok()
+        self.ibc.store().prove_at(height, key).ok()
     }
 
     /// Removes and returns all pending events.
@@ -383,12 +376,9 @@ impl GuestContract {
         self.signatures.push(HashMap::new());
         self.finalised.push(false);
         self.events.push(GuestEvent::NewBlock { block: block.clone() });
-        // Snapshot the state this block committed to, so proofs against
-        // its root keep verifying after the live trie moves on.
-        self.proof_snapshots.push_back((block.height, self.ibc.store().clone()));
-        while self.proof_snapshots.len() > PROOF_SNAPSHOT_HISTORY {
-            self.proof_snapshots.pop_front();
-        }
+        // Retain the state this block commits to, so proofs against its
+        // root keep verifying after the live trie moves on.
+        self.ibc.store_mut().commit(block.height);
         Ok(block)
     }
 

@@ -58,17 +58,15 @@ pub struct CounterpartyChain {
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
     profiler: Profiler,
-    /// Bounded `(height, trie)` history snapshotted at block production —
-    /// the proof-at-height service a full node offers relayers. Proofs
-    /// generated from live state stop verifying against a header's
-    /// app-hash as soon as later transactions touch the proof path, which
-    /// under sustained traffic is always.
-    proof_snapshots: std::collections::VecDeque<(u64, Trie)>,
 }
 
-/// Snapshot history depth. Covers the gap between a guest-side client
-/// update landing and the relayer proving packets at that height, even
-/// when several counterparty blocks commit in between.
+/// How many produced blocks [`CounterpartyChain::prove_at`] can prove at —
+/// the proof-at-height service a full node offers relayers. Proofs
+/// generated from live state stop verifying against a header's app-hash
+/// as soon as later transactions touch the proof path, which under
+/// sustained traffic is always. The depth covers the gap between a
+/// guest-side client update landing and the relayer proving packets at
+/// that height, even when several counterparty blocks commit in between.
 const PROOF_SNAPSHOT_HISTORY: usize = 32;
 
 impl CounterpartyChain {
@@ -90,7 +88,7 @@ impl CounterpartyChain {
             next_set: None,
             // Receipts stay live here: an ordinary chain does not seal.
             ibc: IbcHandler::with_config(
-                Trie::new(),
+                Trie::with_proof_history(PROOF_SNAPSHOT_HISTORY),
                 HandlerConfig { seal_receipts: false, consensus_history: 64 },
             ),
             validators,
@@ -101,17 +99,15 @@ impl CounterpartyChain {
             headers: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
-            proof_snapshots: std::collections::VecDeque::new(),
         }
     }
 
     /// Merkle proof of `key` as of block `height` — the proof-at-height
-    /// query a full node answers for relayers. `None` when the height's
-    /// snapshot has been evicted or the key cannot be proven there.
+    /// query a full node answers for relayers. `None` when the height has
+    /// left the window or the key cannot be proven there.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
         let _prove = self.profiler.scope("cp.prove");
-        let (_, trie) = self.proof_snapshots.iter().rev().find(|(h, _)| *h == height)?;
-        trie.prove(key).ok()
+        self.ibc.store().prove_at(height, key).ok()
     }
 
     /// Installs an observability sink. Counterparty-side packet lifecycle
@@ -177,12 +173,9 @@ impl CounterpartyChain {
         self.time_ms = now_ms.max(self.time_ms + 1);
         let app_hash = self.ibc.root();
         {
-            // Snapshot the state this header commits to for prove_at.
+            // Retain the state this header commits to for prove_at.
             let _snapshot = self.profiler.scope("cp.snapshot");
-            self.proof_snapshots.push_back((self.height, self.ibc.store().clone()));
-            while self.proof_snapshots.len() > PROOF_SNAPSHOT_HISTORY {
-                self.proof_snapshots.pop_front();
-            }
+            self.ibc.store_mut().commit(self.height);
         }
 
         // Epoch boundary: announce a reshuffled validator set, signed by

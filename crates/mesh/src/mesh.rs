@@ -202,7 +202,8 @@ impl RouteStatus {
 /// Tally of one [`Mesh::run_with_traffic`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficOutcome {
-    /// Arrivals that became routed transfers.
+    /// Arrivals that were sent: routed token transfers, routed NFT
+    /// transfers and ICA operations (registrations and executions) alike.
     pub sent: u64,
     /// Arrivals skipped because the user's balance was exhausted.
     pub skipped_broke: u64,

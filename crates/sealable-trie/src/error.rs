@@ -25,6 +25,9 @@ pub enum TrieError {
     /// The value is empty; an empty value is indistinguishable from absence
     /// in a non-membership proof, so it is rejected at insertion.
     EmptyValue,
+    /// No snapshot of this height is retained (never committed, or slid
+    /// out of the proof-history window).
+    HeightNotRetained(u64),
 }
 
 impl fmt::Display for TrieError {
@@ -35,6 +38,7 @@ impl fmt::Display for TrieError {
             Self::NotFound => f.write_str("key is not a live entry"),
             Self::EmptyKey => f.write_str("empty keys are not supported"),
             Self::EmptyValue => f.write_str("empty values are not supported"),
+            Self::HeightNotRetained(height) => write!(f, "no snapshot retained at height {height}"),
         }
     }
 }

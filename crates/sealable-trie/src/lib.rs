@@ -29,6 +29,13 @@
 //! against a bare root hash by [`proof::Proof::verify`], with no access to
 //! the store — this is what a counterparty light client runs.
 //!
+//! A chain that commits a root per block must keep proving against older
+//! roots while its live trie moves on. [`Trie::with_proof_history`],
+//! [`Trie::commit`] and [`Trie::prove_at`] serve that from one versioned
+//! [`MemStore`]: a snapshot is a `(root, version)` pair, and only nodes
+//! rewritten while a snapshot is held are kept, until it slides out of
+//! the window.
+//!
 //! # Examples
 //!
 //! ```

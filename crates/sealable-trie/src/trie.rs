@@ -1,10 +1,12 @@
 //! The sealable Merkle-Patricia trie.
 
+use std::collections::VecDeque;
+
 use sim_crypto::Hash;
 
 use crate::node::{ChildRef, Node, Value, EMPTY_CHILDREN};
 use crate::proof::{Proof, ProofNode};
-use crate::store::{MemStore, NodeStore, StoreStats};
+use crate::store::{MemStore, NodeStore, Ptr, StoreStats};
 use crate::{Nibbles, TrieError};
 
 /// Internal key encoding: LEB128 length prefix followed by the key bytes.
@@ -63,18 +65,82 @@ pub enum EntryState {
 /// See the crate-level documentation for semantics and an example. With
 /// the default [`MemStore`] the whole trie (including sealed markers)
 /// serializes with serde, so chain state can be snapshotted and restored.
+/// Only the live version is serialized: the proof-history window of
+/// [`Trie::commit`] is runtime state, and a restored trie holds none.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Trie<S: NodeStore = MemStore> {
     store: S,
     root: Option<ChildRef>,
     live_entries: usize,
     sealed_entries: usize,
+    #[serde(skip)]
+    history: History,
+}
+
+/// The bounded proof-at-height window: the last `depth` committed heights,
+/// each a root over one versioned [`MemStore`].
+#[derive(Clone, Debug, Default)]
+struct History {
+    depth: usize,
+    snapshots: VecDeque<Snapshot>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Snapshot {
+    height: u64,
+    root: Option<ChildRef>,
+    version: u64,
 }
 
 impl Trie<MemStore> {
     /// Creates an empty trie backed by an in-memory store.
     pub fn new() -> Self {
         Self::with_store(MemStore::new())
+    }
+
+    /// Creates an empty trie that serves [`Self::prove_at`] for the last
+    /// `depth` heights passed to [`Self::commit`].
+    pub fn with_proof_history(depth: usize) -> Self {
+        let mut trie = Self::new();
+        trie.history.depth = depth;
+        trie
+    }
+
+    /// Records the current contents as the state committed at `height`,
+    /// sliding the proof-history window.
+    ///
+    /// O(1) apart from freeing nodes: the snapshot is a `(root, version)`
+    /// pair over the versioned store, which retains the nodes later
+    /// rewrites remove until the snapshot slides out of the window.
+    /// Sealing rewrites a leaf in place, but into a skeleton with the same
+    /// hash and proofs carry only hashes, so an older height's proof never
+    /// changes.
+    pub fn commit(&mut self, height: u64) {
+        let history = &mut self.history;
+        let version = self.store.snapshot();
+        history.snapshots.push_back(Snapshot { height, root: self.root, version });
+        if history.snapshots.len() > history.depth {
+            history.snapshots.pop_front();
+        }
+        self.store.release(history.snapshots.front().map(|s| s.version));
+    }
+
+    /// Produces a proof for `key` against the state committed at `height`
+    /// — exactly what [`Self::prove`] returned right after that commit.
+    ///
+    /// # Errors
+    ///
+    /// * [`TrieError::HeightNotRetained`] if `height` is not in the window.
+    /// * [`TrieError::Sealed`] as for [`Self::prove`] at that height.
+    pub fn prove_at(&self, height: u64, key: &[u8]) -> Result<Proof, TrieError> {
+        let snapshot = self
+            .history
+            .snapshots
+            .iter()
+            .rev()
+            .find(|s| s.height == height)
+            .ok_or(TrieError::HeightNotRetained(height))?;
+        Self::prove_from(snapshot.root, key, |ptr| self.store.get_at(ptr, snapshot.version))
     }
 }
 
@@ -87,7 +153,7 @@ impl Default for Trie<MemStore> {
 impl<S: NodeStore> Trie<S> {
     /// Creates an empty trie backed by `store`.
     pub fn with_store(store: S) -> Self {
-        Self { store, root: None, live_entries: 0, sealed_entries: 0 }
+        Self { store, root: None, live_entries: 0, sealed_entries: 0, history: History::default() }
     }
 
     /// The commitment to the current contents ([`Hash::ZERO`] when empty).
@@ -566,16 +632,25 @@ impl<S: NodeStore> Trie<S> {
     /// sealed node. (Proving a *sealed* key is impossible by design — the
     /// data backing the proof has been reclaimed.)
     pub fn prove(&self, key: &[u8]) -> Result<Proof, TrieError> {
+        Self::prove_from(self.root, key, |ptr| self.store.get(ptr))
+    }
+
+    /// Walks `key`'s path from `root`, reading nodes through `read`.
+    fn prove_from<'a>(
+        root: Option<ChildRef>,
+        key: &[u8],
+        read: impl Fn(Ptr) -> Option<&'a Node>,
+    ) -> Result<Proof, TrieError> {
         let encoded = encode_key(key);
         let path = Nibbles::from_key(&encoded);
         let mut nodes = Vec::new();
         let mut remaining = path.as_slice();
-        let Some(mut current) = self.root else {
+        let Some(mut current) = root else {
             // Empty trie: the empty proof shows non-membership.
             return Ok(Proof::new(nodes));
         };
         loop {
-            let node = self.read(&current)?;
+            let node = read(current.ptr).ok_or(TrieError::Sealed)?;
             nodes.push(ProofNode::from_node(node));
             match node {
                 Node::Leaf { .. } => return Ok(Proof::new(nodes)),
@@ -1044,6 +1119,110 @@ mod tests {
             },
         );
         assert!(corrupted.verify_integrity().is_err());
+    }
+
+    /// Runs the same mixed op sequence on `trie`, committing after every
+    /// `commit_every` ops (0: never).
+    fn churn(trie: &mut Trie, commit_every: usize) {
+        let mut height = 0;
+        for i in 0..600u64 {
+            let key = (i % 97).to_be_bytes();
+            let _ = match i % 5 {
+                0 | 1 => trie.insert(&key, format!("v{i}").as_bytes()),
+                2 => trie.seal(&key),
+                3 => trie.remove(&key).map(|_| ()),
+                _ => trie.insert(format!("state/{}", i % 7).as_bytes(), &i.to_be_bytes()),
+            };
+            if commit_every > 0 && i.is_multiple_of(commit_every as u64) {
+                height += 1;
+                trie.commit(height);
+            }
+        }
+    }
+
+    #[test]
+    fn accounting_counts_only_the_live_version() {
+        let mut held = Trie::with_proof_history(8);
+        churn(&mut held, 3);
+        assert!(held.store().retired_len() > 0, "the window retains rewritten nodes");
+        let mut bare = Trie::new();
+        churn(&mut bare, 0);
+
+        assert_eq!(held.root_hash(), bare.root_hash());
+        assert_eq!(held.stats(), bare.stats(), "§V-D storage and rent numbers");
+        assert_eq!(serde_json::to_vec(&held).unwrap(), serde_json::to_vec(&bare).unwrap());
+        let resident = |trie: &Trie| {
+            let mut nodes: Vec<(Ptr, Node)> =
+                trie.store().iter().map(|(p, n)| (p, n.clone())).collect();
+            nodes.sort_by_key(|(p, _)| *p);
+            nodes
+        };
+        assert_eq!(resident(&held), resident(&bare));
+        assert_eq!(held.verify_integrity(), bare.verify_integrity());
+        assert_eq!(held.verify_integrity().unwrap(), held.stats().node_count);
+    }
+
+    #[test]
+    fn retired_nodes_are_freed_as_the_window_slides() {
+        // Depth 1: every commit releases all but the newest snapshot.
+        let mut single = Trie::with_proof_history(1);
+        for i in 0..200u64 {
+            single.insert(&(i % 13).to_be_bytes(), &i.to_be_bytes()).unwrap();
+            single.commit(i);
+            assert_eq!(single.store().retired_len(), 0);
+        }
+
+        let mut trie = Trie::with_proof_history(8);
+        churn(&mut trie, 2);
+        assert!(trie.store().retired_len() > 0);
+        // Idle commits slide every snapshot that predates a removal out.
+        for height in 1000..1008 {
+            trie.commit(height);
+        }
+        assert_eq!(trie.store().retired_len(), 0, "nothing left for the newest snapshot");
+        for key in (0..97u64).map(u64::to_be_bytes) {
+            assert_eq!(trie.prove_at(1007, &key), trie.prove(&key));
+        }
+        assert_eq!(trie.prove_at(999, b"k"), Err(TrieError::HeightNotRetained(999)));
+    }
+
+    #[test]
+    fn sealing_never_changes_an_older_heights_proof() {
+        // Both seal branches after a commit: the in-place skeleton
+        // `replace` (a leaf with a remaining path) and the reclaim cascade
+        // (max-depth leaves filling a whole branch).
+        let mut trie = Trie::with_proof_history(4);
+        trie.insert(b"sparse", b"skeleton-branch").unwrap();
+        trie.insert(b"sparse-sibling", b"x").unwrap();
+        for seq in 0..16u64 {
+            trie.insert(&seq.to_be_bytes(), b"commitment").unwrap();
+        }
+        trie.commit(1);
+        let reference = trie.clone();
+        let keys: Vec<Vec<u8>> = (0..16u64)
+            .map(|seq| seq.to_be_bytes().to_vec())
+            .chain([b"sparse".to_vec(), b"sparse-sibling".to_vec()])
+            .collect();
+        let before: Vec<_> = keys.iter().map(|k| trie.prove_at(1, k)).collect();
+
+        trie.seal(b"sparse").unwrap();
+        assert_eq!(trie.stats().sealed_reclaimed, 0, "a skeleton, not a reclaim");
+        for seq in 0..16u64 {
+            trie.seal(&seq.to_be_bytes()).unwrap();
+        }
+        assert!(trie.stats().sealed_reclaimed > 16, "the full branch was reclaimed too");
+        trie.commit(2);
+
+        let root = reference.root_hash();
+        for (key, proof) in keys.iter().zip(before) {
+            let after = trie.prove_at(1, key);
+            assert_eq!(after, proof);
+            assert_eq!(after, reference.prove(key));
+            let value = reference.get(key).unwrap().unwrap();
+            assert!(after.unwrap().verify_member(&root, key, &value));
+            // The newer height sees the seals.
+            assert_eq!(trie.prove_at(2, key).is_err(), trie.prove(key).is_err());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Property-based tests: the sealable trie against a `BTreeMap` model.
+//! Property-based tests: the sealable trie against a `BTreeMap` model, and
+//! proof-at-height snapshots against full clones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use sealable_trie::{Trie, TrieError, VerifyOutcome};
@@ -26,6 +27,102 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => key_strategy().prop_map(Op::Remove),
         1 => key_strategy().prop_map(Op::Seal),
     ]
+}
+
+/// Operations for the snapshot property: the model ops plus whole dense
+/// 16-blocks, so the seal reclaim cascade (a branch whose 16 max-depth
+/// leaves are all sealed) happens often.
+#[derive(Clone, Debug)]
+enum SnapOp {
+    Single(Op),
+    FillBlock(u8),
+    SealBlock(u8),
+}
+
+/// The 16 fixed-width keys of dense block `block`: they differ only in the
+/// last nibble, so their leaves sit at maximal depth under one branch.
+fn block_keys(block: u8) -> impl Iterator<Item = Vec<u8>> {
+    (0..16u8).map(move |i| vec![0, block * 16 + i])
+}
+
+fn snap_op_strategy() -> impl Strategy<Value = SnapOp> {
+    prop_oneof![
+        6 => op_strategy().prop_map(SnapOp::Single),
+        1 => (0u8..2).prop_map(SnapOp::FillBlock),
+        1 => (0u8..2).prop_map(SnapOp::SealBlock),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `prove_at` over the versioned store returns exactly what `prove`
+    /// on a full clone taken at that commit returns — `Err(Sealed)`
+    /// included — for every retained height and every key ever touched,
+    /// and its proofs verify against that height's root. Seals after a
+    /// commit (skeleton replace and reclaim cascade alike) never change an
+    /// older height's proof.
+    #[test]
+    fn snapshot_proofs_equal_clone_proofs(
+        ops in proptest::collection::vec(snap_op_strategy(), 1..60),
+        every in 1usize..5,
+        depth in 1usize..5,
+    ) {
+        let mut trie = Trie::with_proof_history(depth);
+        let mut clones: VecDeque<(u64, Trie)> = VecDeque::new();
+        let mut touched: BTreeSet<Vec<u8>> = BTreeSet::new();
+        let mut height = 0u64;
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                SnapOp::Single(Op::Insert(key, value)) => {
+                    let _ = trie.insert(&key, &value);
+                    touched.insert(key);
+                }
+                SnapOp::Single(Op::Remove(key)) => {
+                    let _ = trie.remove(&key);
+                    touched.insert(key);
+                }
+                SnapOp::Single(Op::Seal(key)) => {
+                    let _ = trie.seal(&key);
+                    touched.insert(key);
+                }
+                SnapOp::FillBlock(block) => {
+                    for key in block_keys(block) {
+                        let _ = trie.insert(&key, b"commitment");
+                        touched.insert(key);
+                    }
+                }
+                SnapOp::SealBlock(block) => {
+                    for key in block_keys(block) {
+                        let _ = trie.seal(&key);
+                    }
+                }
+            }
+            if !(i + 1).is_multiple_of(every) {
+                continue;
+            }
+            height += 1;
+            trie.commit(height);
+            clones.push_back((height, trie.clone()));
+            if clones.len() > depth {
+                let (evicted, _) = clones.pop_front().expect("non-empty");
+                prop_assert_eq!(
+                    trie.prove_at(evicted, b"k").err(),
+                    Some(TrieError::HeightNotRetained(evicted))
+                );
+            }
+            for (at, clone) in &clones {
+                let root = clone.root_hash();
+                for key in &touched {
+                    let proof = trie.prove_at(*at, key);
+                    prop_assert_eq!(&proof, &clone.prove(key));
+                    if let Ok(proof) = proof {
+                        prop_assert_ne!(proof.verify(&root, key), VerifyOutcome::Invalid);
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
